@@ -63,6 +63,9 @@ class LeveledStore:
         self.table_page_budget = table_page_budget
         #: levels[0] ordered newest-first; levels[1:] ordered by min_key.
         self.levels: list[list[SSTable]] = [[] for _ in range(max_levels)]
+        #: Id of the newest table built; per store, so two identical devices
+        #: serialize identical manifests. Remount seeds it from the manifest.
+        self.last_table_id = 0
         self.metrics = MetricSet("lsm")
         self.metrics.counter("flushes")
         self.metrics.counter("compactions")
@@ -95,7 +98,7 @@ class LeveledStore:
         """Persist a MemTable flush as a new L0 table, then rebalance."""
         if not items:
             raise LSMError("flush of empty item list")
-        table = SSTable.build(items, self.ftl, self.space, self.scheme)
+        table = self._build_table(items)
         self.levels[0].insert(0, table)  # newest first
         self.metrics.counter("flushes").add(1)
         self.metrics.counter("tables_written").add(1)
@@ -148,6 +151,13 @@ class LeveledStore:
             else:
                 return
 
+    def _build_table(self, items: list[Entry]) -> SSTable:
+        """Persist sorted ``items`` as one SSTable under the next id."""
+        self.last_table_id += 1
+        return SSTable.build(
+            self.last_table_id, items, self.ftl, self.space, self.scheme
+        )
+
     def _build_tables(self, entries: Iterator[Entry]) -> list[SSTable]:
         """Split a merged entry stream into budget-sized output tables."""
         out: list[SSTable] = []
@@ -158,12 +168,12 @@ class LeveledStore:
         for key, addr in entries:
             entry_bytes = 1 + len(key) + 13
             if batch and batch_bytes + entry_bytes > budget_bytes:
-                out.append(SSTable.build(batch, self.ftl, self.space, self.scheme))
+                out.append(self._build_table(batch))
                 batch, batch_bytes = [], 0
             batch.append((key, addr))
             batch_bytes += entry_bytes
         if batch:
-            out.append(SSTable.build(batch, self.ftl, self.space, self.scheme))
+            out.append(self._build_table(batch))
         self.metrics.counter("tables_written").add(len(out))
         return out
 

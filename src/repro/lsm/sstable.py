@@ -12,7 +12,10 @@ On-page format (entries never span pages):
 
 Lookups binary-search in-memory fence keys (first key of each page), then
 read exactly one NAND page through the FTL — charging the read latency and
-counters the device would really pay.
+counters the device would really pay. Within that page, :func:`find_entry`
+skips entries by their length prefix and decodes only the target entry.
+The simulated charge is the FTL read alone (plus the tree's per-lookup
+``lsm_probe_us``), however much of the page is decoded.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ def encode_entry(
 def decode_entries(
     page: bytes, scheme: AddressingScheme, page_size: int
 ) -> list[Entry]:
-    """Parse all entries from one SSTable page."""
+    """Parse all entries from one SSTable page (scans, compaction, remount)."""
     (count,) = _PAGE_HEADER.unpack_from(page, 0)
     pos = _PAGE_HEADER.size
     out: list[Entry] = []
@@ -67,6 +70,30 @@ def decode_entries(
     return out
 
 
+def find_entry(
+    page: bytes, key: bytes, scheme: AddressingScheme, page_size: int
+) -> tuple[bool, ValueAddress | None]:
+    """(found, address) for ``key`` in one SSTable page.
+
+    Entries within a page are sorted, so the walk stops at the first key
+    >= ``key`` and decodes only that entry; the rest are skipped unparsed.
+    """
+    (count,) = _PAGE_HEADER.unpack_from(page, 0)
+    pos = _PAGE_HEADER.size
+    for _ in range(count):
+        key_end = pos + 1 + page[pos]
+        entry_key = page[pos + 1 : key_end]
+        if entry_key >= key:
+            if entry_key != key:
+                return False, None
+            flags, encoded, vsize = _ENTRY_FIXED.unpack_from(page, key_end)
+            if flags & _FLAG_TOMBSTONE:
+                return True, None
+            return True, scheme.decode(encoded, vsize, page_size)
+        pos = key_end + _ENTRY_FIXED.size
+    return False, None
+
+
 @dataclass(frozen=True)
 class _PageMeta:
     lpn: int
@@ -76,8 +103,6 @@ class _PageMeta:
 
 class SSTable:
     """An immutable sorted run persisted to NAND index pages."""
-
-    _next_id = 0
 
     def __init__(
         self,
@@ -102,6 +127,7 @@ class SSTable:
     @classmethod
     def build(
         cls,
+        table_id: int,
         items: Iterable[Entry],
         ftl: PageMappedFTL,
         space: PageSpace,
@@ -147,8 +173,7 @@ class SSTable:
         if entry_count == 0:
             raise LSMError("cannot build an empty SSTable")
         ftl.write_many(pending)
-        cls._next_id += 1
-        return cls(cls._next_id, pages, entry_count, scheme, page_size)
+        return cls(table_id, pages, entry_count, scheme, page_size)
 
     # --- queries -------------------------------------------------------------
 
@@ -189,11 +214,7 @@ class SSTable:
         meta = self._pages[idx]
         if key > meta.last_key:
             return False, None
-        page = ftl.read(meta.lpn)
-        for entry_key, addr in decode_entries(page, self.scheme, self.page_size):
-            if entry_key == key:
-                return True, addr
-        return False, None
+        return find_entry(ftl.read(meta.lpn), key, self.scheme, self.page_size)
 
     def iter_entries(
         self, ftl: PageMappedFTL, start_key: bytes = b""

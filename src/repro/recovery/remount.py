@@ -273,7 +273,6 @@ def remount(device):
     # each index page (more mount-time NAND reads, honestly charged).
     scheme = lsm.config.scheme
     tables_restored = 0
-    max_table_id = SSTable._next_id
     for level_index, spec in table_specs:
         metas = []
         for lpn in spec["pages"]:
@@ -292,9 +291,7 @@ def remount(device):
         )
         lsm.store.levels[level_index].append(table)
         tables_restored += 1
-        if spec["id"] > max_table_id:
-            max_table_id = spec["id"]
-    SSTable._next_id = max_table_id
+        lsm.store.last_table_id = max(lsm.store.last_table_id, spec["id"])
     for level in lsm.store.levels[1:]:
         level.sort(key=lambda t: t.min_key)
     t_manifest = clock.now_us

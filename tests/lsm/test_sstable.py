@@ -49,44 +49,44 @@ class TestEntryCodec:
 
 class TestBuild:
     def test_build_and_get(self, ftl, space):
-        table = SSTable.build(items(100), ftl, space, SCHEME)
+        table = SSTable.build(1, items(100), ftl, space, SCHEME)
         assert table.entry_count == 100
         found, a = table.get(b"key00042", ftl)
         assert found and a == addr(42)
 
     def test_get_missing_inside_range(self, ftl, space):
-        table = SSTable.build(items(10), ftl, space, SCHEME)
+        table = SSTable.build(1, items(10), ftl, space, SCHEME)
         found, _ = table.get(b"key00003x", ftl)
         assert not found
 
     def test_get_outside_range_reads_no_pages(self, ftl, space):
-        table = SSTable.build(items(10), ftl, space, SCHEME)
+        table = SSTable.build(1, items(10), ftl, space, SCHEME)
         reads_before = ftl.flash.page_reads
         found, _ = table.get(b"zzz", ftl)
         assert not found
         assert ftl.flash.page_reads == reads_before
 
     def test_min_max_keys(self, ftl, space):
-        table = SSTable.build(items(10), ftl, space, SCHEME)
+        table = SSTable.build(1, items(10), ftl, space, SCHEME)
         assert table.min_key == b"key00000"
         assert table.max_key == b"key00009"
 
     def test_unsorted_input_rejected(self, ftl, space):
         bad = [(b"b", addr(1)), (b"a", addr(2))]
         with pytest.raises(LSMError):
-            SSTable.build(bad, ftl, space, SCHEME)
+            SSTable.build(1, bad, ftl, space, SCHEME)
 
     def test_duplicate_keys_rejected(self, ftl, space):
         bad = [(b"a", addr(1)), (b"a", addr(2))]
         with pytest.raises(LSMError):
-            SSTable.build(bad, ftl, space, SCHEME)
+            SSTable.build(1, bad, ftl, space, SCHEME)
 
     def test_empty_input_rejected(self, ftl, space):
         with pytest.raises(LSMError):
-            SSTable.build([], ftl, space, SCHEME)
+            SSTable.build(1, [], ftl, space, SCHEME)
 
     def test_large_table_spans_pages(self, ftl, space):
-        table = SSTable.build(items(3000), ftl, space, SCHEME)
+        table = SSTable.build(1, items(3000), ftl, space, SCHEME)
         assert table.page_count > 1
         # Every entry still reachable with exactly one page read each.
         for probe in (0, 1499, 2999):
@@ -95,35 +95,35 @@ class TestBuild:
 
     def test_build_programs_nand(self, ftl, space):
         before = ftl.flash.page_programs
-        table = SSTable.build(items(50), ftl, space, SCHEME)
+        table = SSTable.build(1, items(50), ftl, space, SCHEME)
         assert ftl.flash.page_programs == before + table.page_count
 
     def test_tombstones_persist(self, ftl, space):
         mixed = [(b"aaa", addr(1)), (b"bbb", None), (b"ccc", addr(3))]
-        table = SSTable.build(mixed, ftl, space, SCHEME)
+        table = SSTable.build(1, mixed, ftl, space, SCHEME)
         found, a = table.get(b"bbb", ftl)
         assert found and a is None
 
 
 class TestIteration:
     def test_iter_all(self, ftl, space):
-        table = SSTable.build(items(200), ftl, space, SCHEME)
+        table = SSTable.build(1, items(200), ftl, space, SCHEME)
         keys = [k for k, _ in table.iter_entries(ftl)]
         assert keys == [f"key{i:05d}".encode() for i in range(200)]
 
     def test_iter_from_start_key(self, ftl, space):
-        table = SSTable.build(items(50), ftl, space, SCHEME)
+        table = SSTable.build(1, items(50), ftl, space, SCHEME)
         keys = [k for k, _ in table.iter_entries(ftl, b"key00045")]
         assert keys == [f"key{i:05d}".encode() for i in range(45, 50)]
 
     def test_iter_from_beyond_range_is_empty(self, ftl, space):
-        table = SSTable.build(items(5), ftl, space, SCHEME)
+        table = SSTable.build(1, items(5), ftl, space, SCHEME)
         assert list(table.iter_entries(ftl, b"zzz")) == []
 
 
 class TestRelease:
     def test_release_frees_pages_and_trims(self, ftl, space):
-        table = SSTable.build(items(100), ftl, space, SCHEME)
+        table = SSTable.build(1, items(100), ftl, space, SCHEME)
         in_use = space.pages_in_use
         table.release(ftl, space)
         assert space.pages_in_use == in_use - table.page_count
@@ -131,8 +131,58 @@ class TestRelease:
             assert not ftl.is_mapped(lpn)
 
     def test_overlap_predicate(self, ftl, space):
-        table = SSTable.build(items(10), ftl, space, SCHEME)
+        table = SSTable.build(1, items(10), ftl, space, SCHEME)
         assert table.key_range_overlaps(b"key00005", b"key00007")
         assert table.key_range_overlaps(b"a", b"z")
         assert not table.key_range_overlaps(b"x", b"z")
         assert not table.key_range_overlaps(b"a", b"b")
+
+
+class TestLookupCost:
+    """A point lookup reads one page and decodes only its target entry."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        calls = []
+        real = AddressingScheme.decode
+
+        def counting(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(AddressingScheme, "decode", counting)
+        return calls
+
+    @pytest.fixture
+    def table(self, ftl, space):
+        # Every seventh key is a tombstone; keys step by two so odd probes
+        # miss inside a page's key range.
+        entries = [
+            (f"key{i:05d}".encode(), None if i % 7 == 0 else addr(i))
+            for i in range(0, 6000, 2)
+        ]
+        table = SSTable.build(1, entries, ftl, space, SCHEME)
+        assert table.page_count > 1
+        return table
+
+    def test_hit_decodes_exactly_one_entry(self, ftl, table, decodes):
+        for probe in (2, 2998, 5998):
+            decodes.clear()
+            reads = ftl.flash.page_reads
+            found, a = table.get(f"key{probe:05d}".encode(), ftl)
+            assert found and a == addr(probe)
+            assert len(decodes) == 1
+            assert ftl.flash.page_reads == reads + 1
+
+    def test_miss_inside_a_page_decodes_nothing(self, ftl, table, decodes):
+        for probe in (1, 2999, 5997):
+            reads = ftl.flash.page_reads
+            assert table.get(f"key{probe:05d}".encode(), ftl) == (False, None)
+            assert ftl.flash.page_reads == reads + 1
+        assert decodes == []
+
+    def test_tombstone_decodes_nothing(self, ftl, table, decodes):
+        reads = ftl.flash.page_reads
+        assert table.get(b"key00014", ftl) == (True, None)
+        assert ftl.flash.page_reads == reads + 1
+        assert decodes == []

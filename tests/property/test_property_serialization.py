@@ -5,12 +5,14 @@ stats log pages and workload traces — anything that crosses a byte
 boundary must survive arbitrary inputs.
 """
 
+import struct
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lsm.addressing import AddressingScheme, ValueAddress
 from repro.lsm.space import PageSpace
-from repro.lsm.sstable import SSTable, decode_entries, encode_entry
+from repro.lsm.sstable import SSTable, decode_entries, encode_entry, find_entry
 from repro.memory.host import HostMemory
 from repro.nand.flash import NandFlash
 from repro.nand.ftl import PageMappedFTL
@@ -64,11 +66,55 @@ class TestSSTableEntryCodec:
                             gc_reserve_blocks=2)
         space = PageSpace(0, geo.total_pages)
         sorted_entries = sorted(entries, key=lambda e: e[0])
-        table = SSTable.build(sorted_entries, ftl, space, AddressingScheme.FINE)
+        table = SSTable.build(1, sorted_entries, ftl, space, AddressingScheme.FINE)
         assert list(table.iter_entries(ftl)) == sorted_entries
         for key, addr in sorted_entries:
             found, got = table.get(key, ftl)
             assert found and got == addr
+
+
+#: Short keys over a tiny alphabet collide and prefix one another often
+#: (``b"k1"`` next to ``b"k10"``); long ones reach the 255-byte limit.
+page_keys = st.one_of(
+    st.lists(st.sampled_from(b"\x00k01\xff"), min_size=1, max_size=6).map(bytes),
+    st.binary(min_size=1, max_size=255),
+)
+
+
+@st.composite
+def packed_pages(draw):
+    """(page, sorted keys): sorted unique entries packed into one page."""
+    drawn = draw(st.lists(page_keys, min_size=1, max_size=40))
+    keys = set(drawn)
+    for key in drawn:
+        keys.add(key[: draw(st.integers(1, len(key)))])
+    body = b""
+    stored = []
+    for key in sorted(keys):
+        addr = draw(st.one_of(st.none(), addresses))
+        blob = encode_entry(key, addr, AddressingScheme.FINE, PAGE_16K)
+        if 2 + len(body) + len(blob) > PAGE_16K:
+            break
+        body += blob
+        stored.append(key)
+    page = struct.pack("<H", len(stored)) + body
+    return page + b"\x00" * (PAGE_16K - len(page)), stored
+
+
+class TestFindEntry:
+    @given(packed=packed_pages(), extra=st.lists(page_keys, max_size=10))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_linear_search_over_decoded_entries(self, packed, extra):
+        page, stored = packed
+        decoded = dict(decode_entries(page, AddressingScheme.FINE, PAGE_16K))
+        assert list(decoded) == stored
+        probes = {b"\x00", b"\xff" * 255, stored[-1] + b"\xff", *extra}
+        for key in stored:
+            probes.update((key, key + b"\x00", key[:-1] or key))
+        for probe in probes:
+            expected = (probe in decoded, decoded.get(probe))
+            got = find_entry(page, probe, AddressingScheme.FINE, PAGE_16K)
+            assert got == expected, probe
 
 
 class TestPRPRoundtrip:

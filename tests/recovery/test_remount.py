@@ -7,7 +7,7 @@ from repro.device.kvssd import KVSSD
 from repro.errors import KeyNotFoundError, PowerLossError
 from repro.faults import FaultPlan
 from repro.recovery.journal import RecoveryError
-from repro.units import MIB
+from repro.units import KIB, MIB
 
 CRASH_CFG = BandSlimConfig().with_overrides(
     crash_consistency=True,
@@ -147,3 +147,44 @@ class TestCrashRemount:
         assert second.journal.manifest_gen > gen_after_crash
         for key, value in {**flushed, **more}.items():
             assert _get(second.driver, key) == value, key
+
+
+class TestTableIds:
+    """SSTable ids are per device, so manifests do not depend on what else
+    the process built before."""
+
+    CFG = CRASH_CFG.with_overrides(memtable_flush_bytes=16 * KIB)
+
+    def _flushed_device(self):
+        device = KVSSD.build(self.CFG)
+        _fill(device.driver, 2000, size=64)
+        device.driver.nvme_flush()
+        return device
+
+    @staticmethod
+    def _table_ids(device):
+        return [t.table_id for level in device.lsm.store.levels for t in level]
+
+    @staticmethod
+    def _manifest_pages(device):
+        lpns = device.journal.prev_manifest_lpns
+        return [device.lsm.ftl.read(lpn) for lpn in lpns]
+
+    def test_identical_devices_write_identical_manifests(self):
+        first = self._flushed_device()
+        second = self._flushed_device()
+        assert len(self._table_ids(first)) > 1
+        assert self._table_ids(first) == self._table_ids(second)
+        assert self._manifest_pages(first) == self._manifest_pages(second)
+
+    def test_remount_continues_ids_after_the_manifest(self):
+        device = self._flushed_device()
+        restored_ids = self._table_ids(device)
+        recovered = device.remount()
+        assert self._table_ids(recovered) == restored_ids
+        assert recovered.lsm.store.last_table_id == max(restored_ids)
+        _fill(recovered.driver, 500, tag=b"life2", size=64)
+        recovered.driver.nvme_flush()
+        ids = self._table_ids(recovered)
+        assert len(ids) == len(set(ids))
+        assert max(ids) > max(restored_ids)
